@@ -136,9 +136,8 @@ fn measure_kernels(n: usize, runs: u64, max_rounds: usize) -> (f64, f64, usize) 
         measure_n(n, runs, |init| {
             let mut rng = StdRng::seed_from_u64(0);
             // Pinned sequential so the kernel series isolates kernel
-            // effects on every host (Auto would go speculative at
-            // these sizes on multi-core machines; the rounds_* fields
-            // track that axis separately).
+            // effects whatever Auto resolves to (the rounds_* fields
+            // track the executor axis separately).
             run_dynamics_with_kernel(
                 init,
                 DynamicsConfig::exact(model, max_rounds).with_executor(RoundExecutor::Sequential),

@@ -974,9 +974,8 @@ move-for-move equivalent: they never change a result, only throughput.
 --rounds (mode form) picks the round executor: speculative rounds
 evaluate players' best responses in parallel inside each round and
 revalidate proposals at commit time; they are step-identical to
-sequential rounds at any thread count (auto goes speculative for
-n >= 64 with > 1 worker thread, and never nests inside seed-sweep or
-serve-job workers). On `dynamics`, a numeric --rounds keeps its
+sequential rounds at any thread count (auto is sequential: speculative
+rounds run only when asked for). On `dynamics`, a numeric --rounds keeps its
 historical round-cap meaning; give the flag twice for both.
 --threads N (any command) pins the worker-thread bound, overriding
 BBNCG_THREADS: dynamics/verify/scenario parallelism and the serve
@@ -1066,6 +1065,11 @@ mod tests {
         let raw: Vec<String> = line.iter().map(|s| s.to_string()).collect();
         dispatch(&raw)
     }
+
+    /// Held by every test that passes `--trace`: the trace sink is
+    /// process-global, and a second `--trace` run installing its sink
+    /// mid-run steals the first run's spans.
+    static TRACE_SINK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn construct_theorem23_roundtrips_through_verify() {
@@ -1330,6 +1334,7 @@ kind = "dynamics"
 
     #[test]
     fn trace_flag_emits_one_span_per_phase() {
+        let _sink = TRACE_SINK.lock().unwrap_or_else(|e| e.into_inner());
         // A scenario with a unique name, so the span count below is
         // immune to other tests in this process tracing concurrently
         // (the trace sink is process-global).
@@ -1375,6 +1380,7 @@ kind = "dynamics"
     #[test]
     fn trace_lines_round_trip_full_span_schema() {
         use bbncg_report::json::{parse, Json};
+        let _sink = TRACE_SINK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir();
         let spec = dir.join("bbncg_cli_trace_schema.toml");
         let trace = dir.join("bbncg_cli_trace_schema.jsonl");

@@ -67,48 +67,7 @@ pub fn exact_best_response_with(
     u: NodeId,
     model: CostModel,
 ) -> ScoredStrategy {
-    let n = r.n();
-    let b = r.graph().out_degree(u);
-    let count = enumeration_count(n - 1, b);
-    assert!(
-        count <= MAX_EXACT_CANDIDATES,
-        "exact best response would enumerate {count} candidates (player {u}, budget {b}, n {n}); \
-         use greedy_best_response or best_swap_response instead"
-    );
-    scratch.begin(r, u, model);
-    let lb = scratch.cost_lower_bound(b);
-    let mut pool = std::mem::take(&mut scratch.pool_buf);
-    let mut targets = std::mem::take(&mut scratch.cand_buf);
-    pool.clear();
-    pool.extend((0..n).map(NodeId::new).filter(|&t| t != u));
-    let mut odometer = CombinationOdometer::new(pool.len(), b);
-    let mut best: Option<ScoredStrategy> = None;
-    loop {
-        targets.clear();
-        targets.extend(odometer.indices().iter().map(|&i| pool[i]));
-        // Per-candidate pruning: when the candidate's own Lemma 2.2
-        // bound cannot beat the incumbent, skip its BFS entirely. A
-        // pruned candidate's true cost is ≥ the incumbent, so neither
-        // the optimum nor the lexicographic tie-break can change.
-        let incumbent = best.as_ref().map_or(u64::MAX, |s| s.cost);
-        if let Some(cost) = scratch.cost_of_pruned(&targets, incumbent) {
-            if cost < incumbent {
-                best = Some(ScoredStrategy {
-                    targets: targets.clone(),
-                    cost,
-                });
-                if cost <= lb {
-                    break; // provably optimal
-                }
-            }
-        }
-        if !odometer.advance() {
-            break;
-        }
-    }
-    scratch.pool_buf = pool;
-    scratch.cand_buf = targets;
-    best.expect("at least one strategy exists")
+    exact_search(scratch, r, u, model, None)
 }
 
 /// Cost of the cheapest strategy for `u` (see [`exact_best_response`]),
@@ -133,29 +92,55 @@ pub fn exact_best_response_cost_with(
     model: CostModel,
     stop_below: Option<u64>,
 ) -> u64 {
+    exact_search(scratch, r, u, model, stop_below).cost
+}
+
+/// The exact scan behind both entry points: every size-`b` strategy in
+/// odometer (lexicographic) order, strict improvement only, stopping at
+/// the Lemma 2.2 lower bound or as soon as the incumbent goes below
+/// `stop_below`. On the bitset tier the whole candidate space is priced
+/// by one batched pass first ([`DeviationScratch::prepare_exact`]); the
+/// scan, its tie-breaks and its exits are the same either way.
+fn exact_search(
+    scratch: &mut DeviationScratch,
+    r: &Realization,
+    u: NodeId,
+    model: CostModel,
+    stop_below: Option<u64>,
+) -> ScoredStrategy {
     let n = r.n();
     let b = r.graph().out_degree(u);
     let count = enumeration_count(n - 1, b);
     assert!(
         count <= MAX_EXACT_CANDIDATES,
-        "exact best response would enumerate {count} candidates (player {u}, budget {b}, n {n})"
+        "exact best response would enumerate {count} candidates (player {u}, budget {b}, n {n}); \
+         use greedy_best_response or best_swap_response instead"
     );
     scratch.begin(r, u, model);
+    scratch.prepare_exact(b);
     let lb = scratch.cost_lower_bound(b);
     let mut pool = std::mem::take(&mut scratch.pool_buf);
     let mut targets = std::mem::take(&mut scratch.cand_buf);
     pool.clear();
     pool.extend((0..n).map(NodeId::new).filter(|&t| t != u));
     let mut odometer = CombinationOdometer::new(pool.len(), b);
-    let mut best = u64::MAX;
+    let mut best: Option<ScoredStrategy> = None;
     loop {
         targets.clear();
         targets.extend(odometer.indices().iter().map(|&i| pool[i]));
-        if let Some(cost) = scratch.cost_of_pruned(&targets, best) {
-            if cost < best {
-                best = cost;
-                if best <= lb || stop_below.is_some_and(|s| best < s) {
-                    break;
+        // Per-candidate pruning: when the candidate's own Lemma 2.2
+        // bound cannot beat the incumbent, skip its BFS entirely. A
+        // pruned candidate's true cost is ≥ the incumbent, so neither
+        // the optimum nor the lexicographic tie-break can change.
+        let incumbent = best.as_ref().map_or(u64::MAX, |s| s.cost);
+        if let Some(cost) = scratch.cost_of_pruned(&targets, incumbent) {
+            if cost < incumbent {
+                best = Some(ScoredStrategy {
+                    targets: targets.clone(),
+                    cost,
+                });
+                if cost <= lb || stop_below.is_some_and(|s| cost < s) {
+                    break; // provably optimal, or the caller's refutation
                 }
             }
         }
@@ -165,7 +150,7 @@ pub fn exact_best_response_cost_with(
     }
     scratch.pool_buf = pool;
     scratch.cand_buf = targets;
-    best
+    best.expect("at least one strategy exists")
 }
 
 /// Greedy heuristic best response: grow the strategy one arc at a time,

@@ -38,6 +38,7 @@
 //! dynamics access pattern.
 
 use crate::cost::{c_inf, cost_from_bfs, CostModel};
+use crate::exact_batch::ExactBatch;
 use crate::kernel::CostKernel;
 use crate::realization::Realization;
 use bbncg_graph::{
@@ -54,13 +55,15 @@ use bbncg_obs::Counter;
 /// [`bbncg_obs::enabled`].
 #[derive(Debug, Default)]
 struct ObsTally {
-    /// Candidates priced through the kernel (one BFS/repair each).
+    /// Candidates priced through the kernel (one BFS/repair each, or
+    /// one read of the batched exact tables).
     priced: u64,
     /// Candidates skipped by the Lemma 2.2 lower bound (no BFS).
     prune_skips: u64,
     /// Candidates priced exactly from the bound (no BFS).
     prune_exact: u64,
-    /// Base BFS/SSSP computations (sparse session rebases).
+    /// Base BFS/SSSP computations: sparse session rebases, and the
+    /// base plus all-sources BFS of each batched exact session.
     base_bfs: u64,
     /// Pricing sessions opened.
     sessions: u64,
@@ -213,6 +216,9 @@ pub struct DeviationScratch {
     /// Distinct in-neighbour count of the active player in the
     /// arcs-removed graph (for the Lemma 2.2 lower bound).
     distinct_in: usize,
+    /// The same in-neighbours as a bit row (membership tests on the
+    /// per-candidate bound path).
+    in_bits: Vec<u64>,
     /// Active session: `(player, model)`; the player's arcs are
     /// currently lifted out of `patch`.
     active: Option<(NodeId, CostModel)>,
@@ -245,6 +251,9 @@ pub struct DeviationScratch {
     /// Memoized cost of the player's *current* strategy this session
     /// (the improvement gate prices it after the rules already did).
     memo_current: Option<u64>,
+    /// Batched exact pricing tables for this session (bitset tier;
+    /// live only after [`Self::prepare_exact`]).
+    batch: ExactBatch,
     /// Net-diff scratch for the repair decision.
     diff_net: Vec<(NodeId, NodeId, i32)>,
     diff_removed: Vec<(NodeId, NodeId)>,
@@ -350,6 +359,7 @@ impl DeviationScratch {
             comp_count: 0,
             comp_sizes: Vec::new(),
             distinct_in: 0,
+            in_bits: vec![0; n.div_ceil(64)],
             active: None,
             retention: Retention::default(),
             tb_stamp: Vec::new(),
@@ -360,6 +370,7 @@ impl DeviationScratch {
             tb_lb: Vec::new(),
             ball_buf: Vec::new(),
             memo_current: None,
+            batch: ExactBatch::default(),
             diff_net: Vec::new(),
             diff_removed: Vec::new(),
             diff_inserted: Vec::new(),
@@ -514,6 +525,7 @@ impl DeviationScratch {
         );
         self.active = Some((u, model));
         self.memo_current = None;
+        self.batch.invalidate();
         self.recompute_components();
         self.recompute_distinct_in(u);
         if matches!(self.patch, Backing::Compact(_)) {
@@ -695,11 +707,23 @@ impl DeviationScratch {
     }
 
     fn recompute_distinct_in(&mut self, u: NodeId) {
+        for v in &self.dedup_buf {
+            self.in_bits[v.index() >> 6] = 0;
+        }
         self.dedup_buf.clear();
         self.dedup_buf.extend_from_slice(self.patch.neighbors(u));
         self.dedup_buf.sort_unstable();
         self.dedup_buf.dedup();
         self.distinct_in = self.dedup_buf.len();
+        for v in &self.dedup_buf {
+            self.in_bits[v.index() >> 6] |= 1u64 << (v.index() & 63);
+        }
+    }
+
+    /// Is `t` an in-neighbour of the active player?
+    #[inline]
+    fn is_in_neighbor(&self, t: NodeId) -> bool {
+        self.in_bits[t.index() >> 6] & (1u64 << (t.index() & 63)) != 0
     }
 
     /// Component structure of the graph if the active player plays
@@ -707,19 +731,19 @@ impl DeviationScratch {
     /// Returns `(κ after the move, vertices reachable from u)` — both
     /// exact, computed from the cached labelling without a BFS.
     fn merge_stats(&mut self, u: NodeId, targets: &[NodeId]) -> (usize, usize) {
+        // Strategies are a handful of targets: a linear duplicate scan
+        // over the labels met so far beats sorting them.
+        let lu = self.comp_label[u.index()];
+        let mut reachable = self.comp_sizes[lu as usize];
         self.label_buf.clear();
-        self.label_buf.push(self.comp_label[u.index()]);
         for &t in targets {
-            self.label_buf.push(self.comp_label[t.index()]);
+            let l = self.comp_label[t.index()];
+            if l != lu && !self.label_buf.contains(&l) {
+                self.label_buf.push(l);
+                reachable += self.comp_sizes[l as usize];
+            }
         }
-        self.label_buf.sort_unstable();
-        self.label_buf.dedup();
-        let reachable: usize = self
-            .label_buf
-            .iter()
-            .map(|&l| self.comp_sizes[l as usize])
-            .sum();
-        (self.comp_count - (self.label_buf.len() - 1), reachable)
+        (self.comp_count - self.label_buf.len(), reachable)
     }
 
     /// Price the candidate strategy `targets` for the active player —
@@ -748,11 +772,53 @@ impl DeviationScratch {
         cost
     }
 
+    /// Build the batched exact pricing tables for the open session's
+    /// strategies of `b` targets: one base BFS and one all-sources BFS
+    /// price every candidate at once (see `exact_batch`), after which
+    /// [`Self::cost_of`] and [`Self::cost_of_pruned`] read size-`b`
+    /// candidates from the tables instead of running a BFS each. Only
+    /// the bitset tier batches, and only within the batched path's
+    /// memory ceiling; otherwise this is a no-op and pricing stays per
+    /// candidate. Also memoizes the player's current cost, so the
+    /// improvement gate after the search needs no BFS either.
+    ///
+    /// # Panics
+    /// Panics if no session is open.
+    pub(crate) fn prepare_exact(&mut self, b: usize) {
+        let (u, model) = self.active.expect("no deviation session open");
+        let n = self.n();
+        if self.bits.is_none() || b == 0 || n < 2 || self.batch.prices(b) || !ExactBatch::fits(n, b)
+        {
+            return;
+        }
+        self.tally.base_bfs += 2;
+        let built = self.batch.build(
+            &self.patch,
+            &mut self.bfs,
+            u,
+            model,
+            b,
+            &self.comp_label,
+            &self.comp_sizes,
+        );
+        if built && self.mirror.out(u).len() == b {
+            // Priced from the tables and memoized by `cost_of`.
+            let mut current = std::mem::take(&mut self.cand_buf);
+            current.clear();
+            current.extend_from_slice(self.mirror.out(u));
+            self.cost_of(&current);
+            self.cand_buf = current;
+        }
+    }
+
     /// Kernel-dispatched pricing with the component count already in
     /// hand (so the pruned path computes merge stats exactly once).
     fn cost_with_kappa(&mut self, targets: &[NodeId], kappa: usize) -> u64 {
         let (u, model) = self.active.expect("no deviation session open");
         self.tally.priced += 1;
+        if self.batch.prices(targets.len()) {
+            return self.batch.price(targets, kappa);
+        }
         let stats = match (&self.patch, &self.bits) {
             // Sparse: decrease-only repair of the session's base
             // profile — cost ∝ improved region, not n.
@@ -932,11 +998,11 @@ impl DeviationScratch {
         let cinf = c_inf(n);
         let sparse = matches!(self.patch, Backing::Compact(_));
         // |targets ∪ in-neighbours(u)|: targets are tiny, so dedup by
-        // scan; in-neighbour membership via binary search in the sorted
-        // distinct-in list `dedup_buf` built at session open. Sparse
-        // sessions fold the landmark accumulators into the same pass,
-        // memoized per (target, base profile) — strategies share
-        // targets, so multi-slot searches pay each target once.
+        // scan; in-neighbour membership via the bit row `in_bits` built
+        // at session open. Sparse sessions fold the landmark
+        // accumulators into the same pass, memoized per (target, base
+        // profile) — strategies share targets, so multi-slot searches
+        // pay each target once.
         let mut extra = 0usize;
         let mut gain: u64 = 0; // Σ landmark gain caps, in-component targets
         let mut out_targets = 0usize; // distinct targets outside the base component
@@ -958,7 +1024,7 @@ impl DeviationScratch {
                     } else {
                         self.landmark_gain_ub(bd as usize)
                     };
-                    let e = self.dedup_buf.binary_search(&t).is_err();
+                    let e = !self.is_in_neighbor(t);
                     self.tb_stamp[ti] = self.tb_epoch;
                     self.tb_gain[ti] = g;
                     self.tb_extra[ti] = e;
@@ -976,7 +1042,7 @@ impl DeviationScratch {
                         max_bt = bd;
                     }
                 }
-            } else if self.dedup_buf.binary_search(&t).is_err() {
+            } else if !self.is_in_neighbor(t) {
                 extra += 1;
             }
         }
@@ -1339,6 +1405,47 @@ mod tests {
             let want = queue.cost_of(&[v(3)]);
             assert_eq!(sparse.cost_of(&[v(3)]), want, "{model:?}");
             assert_eq!(sparse.cost_of(&[v(3), v(3), v(0)]), want, "messy {model:?}");
+        }
+    }
+
+    #[test]
+    fn batched_tables_fall_back_past_their_limits() {
+        // The memory ceiling: a budget-2 table of n² bytes stops
+        // fitting before the budget-1 bit matrices do.
+        assert!(ExactBatch::fits(4096, 2) && !ExactBatch::fits(8192, 2));
+        assert!(ExactBatch::fits(8192, 1) && !ExactBatch::fits(16384, 1));
+        // A path longer than a byte table can hold: player 0 owns two
+        // arcs into a 300-vertex path, so the budget-2 table would need
+        // distances up to 298. The session prices per candidate instead,
+        // exactly as the queue kernel does.
+        let n = 300;
+        let mut arcs: Vec<(usize, usize)> = (1..n - 1).map(|i| (i, i + 1)).collect();
+        arcs.extend([(0, 1), (0, 2)]);
+        let r = Realization::new(OwnedDigraph::from_arcs(n, &arcs));
+        let mut bitset = DeviationScratch::with_kernel(&r, CostKernel::Bitset);
+        let mut queue = DeviationScratch::with_kernel(&r, CostKernel::Queue);
+        for model in CostModel::ALL {
+            bitset.begin(&r, v(0), model);
+            bitset.prepare_exact(2);
+            assert!(!bitset.batch.prices(2), "{model:?}");
+            queue.begin(&r, v(0), model);
+            for pair in [[v(1), v(299)], [v(100), v(200)], [v(2), v(150)]] {
+                assert_eq!(
+                    bitset.cost_of(&pair),
+                    queue.cost_of(&pair),
+                    "{pair:?} {model:?}"
+                );
+            }
+            // Budget 1 has no table and batches at any depth.
+            bitset.prepare_exact(1);
+            assert!(bitset.batch.prices(1));
+            for t in [1, 150, 299] {
+                assert_eq!(
+                    bitset.cost_of(&[v(t)]),
+                    queue.cost_of(&[v(t)]),
+                    "{t} {model:?}"
+                );
+            }
         }
     }
 }

@@ -13,7 +13,10 @@
 //!   [`BitAdjacency`](bbncg_graph::BitAdjacency) mirror maintained
 //!   incrementally through patch sessions: `O(n²/64)` word ops per
 //!   query, branch-light and cache-linear. A large constant-factor win
-//!   for the dense, repeated queries of larger instances.
+//!   for the dense, repeated queries of larger instances. Exact best
+//!   response on this tier is batched: one all-sources bit-parallel BFS
+//!   per activation prices every candidate at once (see
+//!   `DeviationScratch::prepare_exact`).
 //! * [`CostKernel::Sparse`] — incremental repair over a slack-free
 //!   [`CompactCsr`](bbncg_graph::CompactCsr): the session's base BFS is
 //!   computed once per activation and every candidate is priced by a

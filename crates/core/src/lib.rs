@@ -42,6 +42,7 @@ pub mod deviation;
 pub mod dynamics;
 pub mod enumerate;
 pub mod equilibrium;
+mod exact_batch;
 pub mod io;
 pub mod kernel;
 #[cfg(any(test, feature = "naive-ref"))]

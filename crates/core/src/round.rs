@@ -67,72 +67,39 @@ pub enum RoundExecutor {
     /// One activation at a time, each against the latest profile.
     Sequential,
     /// Windowed parallel proposal evaluation with presence-based
-    /// revalidation at commit time (see the module docs).
+    /// revalidation at commit time (see the module docs). Used only
+    /// when asked for explicitly.
     Speculative,
-    /// Resolve by instance size and thread budget: speculative when
-    /// `n ≥ AUTO_SPECULATIVE_MIN_N`, more than one worker thread is
-    /// available, **and** the run is not already inside a parallel
-    /// worker (a seed-sweep or serve-job worker — nesting a fan-out
-    /// there would oversubscribe the machine quadratically);
-    /// sequential otherwise.
+    /// Always sequential. Speculative rounds have not beaten
+    /// sequential ones on any measured workload: on a 2-CPU host the
+    /// `exact-churn` benchmark ran 7–27% fewer activations per second
+    /// under speculation, and a traced run evaluated 57,295 proposals
+    /// for 51,607 activations while discarding 14,285 of them.
     #[default]
     Auto,
 }
 
 impl RoundExecutor {
-    /// Instance size at which [`RoundExecutor::Auto`] goes speculative
-    /// (given > 1 worker thread). Below it a round is too cheap for
-    /// the fork/join and per-worker engine builds to pay off.
-    pub const AUTO_SPECULATIVE_MIN_N: usize = 64;
-
     /// The concrete executor used for an `n`-player instance (never
-    /// returns [`RoundExecutor::Auto`]). Auto consults
-    /// [`bbncg_par::max_threads`], the host's
-    /// [`std::thread::available_parallelism`] and the nesting flag at
-    /// call time, so it is resolved once per dynamics run, at run
-    /// start.
+    /// returns [`RoundExecutor::Auto`]): `Auto` is sequential, explicit
+    /// choices stand.
     pub fn resolve(self, n: usize) -> RoundExecutor {
-        let host_cpus = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.resolve_with(
-            n,
-            bbncg_par::max_threads(),
-            host_cpus,
-            bbncg_par::in_parallel_worker(),
-        )
+        self.resolve_with(n, 1, 1, false)
     }
 
-    /// Pure core of [`RoundExecutor::resolve`]: the verdict as a
-    /// function of instance size, configured thread budget, host CPU
-    /// count and nesting — no ambient state, so every branch is
-    /// testable on any machine.
+    /// [`RoundExecutor::resolve`] with the instance size, thread budget,
+    /// host CPU count and nesting flag spelled out. None of them
+    /// changes the verdict any more; the signature stays for callers
+    /// that pass them.
     pub fn resolve_with(
         self,
-        n: usize,
-        threads: usize,
-        host_cpus: usize,
-        nested: bool,
+        _n: usize,
+        _threads: usize,
+        _host_cpus: usize,
+        _nested: bool,
     ) -> RoundExecutor {
         match self {
-            RoundExecutor::Auto => {
-                // Never nest by default: inside an outer fan-out (a
-                // sweep's seed worker, a serve job worker) the thread
-                // budget is already spent across runs, so an intra-
-                // round fan-out would multiply threads, not speed.
-                // And a thread *budget* above 1 (`--threads 8`,
-                // `BBNCG_THREADS`) on a single-CPU host buys no
-                // intra-round parallelism either — the workers would
-                // time-slice one core and pay the fork/join and window
-                // bookkeeping for nothing, so Auto also requires real
-                // host parallelism. An *explicit* `Speculative` still
-                // honours the ask in both cases.
-                if n >= Self::AUTO_SPECULATIVE_MIN_N && threads > 1 && host_cpus > 1 && !nested {
-                    RoundExecutor::Speculative
-                } else {
-                    RoundExecutor::Sequential
-                }
-            }
+            RoundExecutor::Auto => RoundExecutor::Sequential,
             k => k,
         }
     }
@@ -353,7 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_by_size_and_threads() {
+    fn auto_resolves_to_sequential() {
+        // Auto is sequential at every size, whatever the thread budget.
+        for n in [0, 2, 64, 10_000] {
+            assert_eq!(RoundExecutor::Auto.resolve(n), RoundExecutor::Sequential);
+        }
         // Explicit choices are size-independent.
         assert_eq!(
             RoundExecutor::Sequential.resolve(10_000),
@@ -363,54 +334,29 @@ mod tests {
             RoundExecutor::Speculative.resolve(2),
             RoundExecutor::Speculative
         );
-        // Auto never goes speculative below the size floor, whatever
-        // the thread budget.
-        assert_eq!(
-            RoundExecutor::Auto.resolve(RoundExecutor::AUTO_SPECULATIVE_MIN_N - 1),
-            RoundExecutor::Sequential
-        );
-        // At or above the floor the verdict depends on the thread
-        // budget; both outcomes are legal, but it must never be Auto.
-        let resolved = RoundExecutor::Auto.resolve(RoundExecutor::AUTO_SPECULATIVE_MIN_N);
-        assert_ne!(resolved, RoundExecutor::Auto);
-        let host_cpus = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        if bbncg_par::max_threads() > 1 && host_cpus > 1 {
-            assert_eq!(resolved, RoundExecutor::Speculative);
-        } else {
-            assert_eq!(resolved, RoundExecutor::Sequential);
-        }
     }
 
     #[test]
-    fn auto_requires_real_host_parallelism() {
-        let n = RoundExecutor::AUTO_SPECULATIVE_MIN_N;
+    fn auto_ignores_threads_cpus_and_nesting() {
         let auto = RoundExecutor::Auto;
-        // The happy path: big instance, budget, CPUs, not nested.
+        // Big instance, thread budget, CPUs, not nested: still
+        // sequential (speculation has to be asked for).
         assert_eq!(
-            auto.resolve_with(n, 8, 8, false),
-            RoundExecutor::Speculative
-        );
-        // A `--threads 8` budget on a single-CPU host must NOT go
-        // speculative: the workers would time-slice one core and the
-        // fan-out is pure overhead.
-        assert_eq!(auto.resolve_with(n, 8, 1, false), RoundExecutor::Sequential);
-        // Nor with a single-thread budget on a many-CPU host, nor
-        // inside an outer parallel worker, nor below the size floor.
-        assert_eq!(auto.resolve_with(n, 1, 8, false), RoundExecutor::Sequential);
-        assert_eq!(auto.resolve_with(n, 8, 8, true), RoundExecutor::Sequential);
-        assert_eq!(
-            auto.resolve_with(n - 1, 8, 8, false),
+            auto.resolve_with(64, 8, 8, false),
             RoundExecutor::Sequential
         );
+        assert_eq!(
+            auto.resolve_with(64, 8, 1, false),
+            RoundExecutor::Sequential
+        );
+        assert_eq!(auto.resolve_with(64, 8, 8, true), RoundExecutor::Sequential);
         // Explicit choices ignore the environment entirely.
         assert_eq!(
             RoundExecutor::Speculative.resolve_with(2, 1, 1, true),
             RoundExecutor::Speculative
         );
         assert_eq!(
-            RoundExecutor::Sequential.resolve_with(n, 8, 8, false),
+            RoundExecutor::Sequential.resolve_with(64, 8, 8, false),
             RoundExecutor::Sequential
         );
     }

@@ -22,11 +22,12 @@
 //!   across kernels (mirrors PR 2's degenerate-generator hardening).
 
 use bbncg_core::dynamics::{run_dynamics_with_kernel, DynamicsConfig};
-use bbncg_core::naive::run_dynamics_rebuild;
+use bbncg_core::naive::{exact_best_response_rebuild, run_dynamics_rebuild};
 use bbncg_core::oracle::CombinationOdometer;
 use bbncg_core::{
-    audit_equilibrium_with_kernel, exact_best_response_with, first_improving_response_with,
-    greedy_best_response_with, CostKernel, CostModel, DeviationScratch, Realization,
+    audit_equilibrium_with_kernel, exact_best_response_cost_with, exact_best_response_with,
+    first_improving_response_with, greedy_best_response_with, CostKernel, CostModel,
+    DeviationScratch, Realization,
 };
 use bbncg_graph::{generators, BfsScratch, BitAdjacency, BitBfsScratch, NodeId, OwnedDigraph};
 use proptest::prelude::*;
@@ -42,6 +43,15 @@ fn v(i: usize) -> NodeId {
 fn random_instance(n: usize, seed: u64) -> Realization {
     let mut rng = StdRng::seed_from_u64(seed);
     let budgets: Vec<usize> = (0..n).map(|i| (i + seed as usize) % 3).collect();
+    Realization::new(generators::random_realization(&budgets, &mut rng))
+}
+
+/// Like [`random_instance`], with budgets 0–3 (capped at `n − 1`).
+fn random_instance_b3(n: usize, seed: u64) -> Realization {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let budgets: Vec<usize> = (0..n)
+        .map(|i| ((i + seed as usize) % 4).min(n - 1))
+        .collect();
     Realization::new(generators::random_realization(&budgets, &mut rng))
 }
 
@@ -127,6 +137,53 @@ proptest! {
                     let (targets, cost) = brute_force_best(&r, u, model);
                     prop_assert_eq!(engine.cost, cost);
                     prop_assert_eq!(&engine.targets, &targets);
+                }
+            }
+        }
+    }
+
+    /// The batched exact best response (bitset tier: every candidate
+    /// priced from one all-sources BFS) equals brute-force enumeration
+    /// — cost and lexicographic tie-break — for budgets 0 to 3 on
+    /// random, often disconnected instances up to n = 40. One player
+    /// per budget is checked (brute force reprices the whole profile
+    /// per candidate).
+    #[test]
+    fn batched_exact_matches_brute_force(n in 2usize..=40, seed in 0u64..1000) {
+        let r = random_instance_b3(n, seed);
+        let mut bitset = DeviationScratch::with_kernel(&r, CostKernel::Bitset);
+        for b in 0..=3usize {
+            let Some(u) = (0..n).map(NodeId::new).find(|&u| r.graph().out_degree(u) == b) else {
+                continue;
+            };
+            for model in CostModel::ALL {
+                let engine = exact_best_response_with(&mut bitset, &r, u, model);
+                let (targets, cost) = brute_force_best(&r, u, model);
+                prop_assert!(engine.cost == cost, "b {} player {} {:?}", b, u, model);
+                prop_assert_eq!(&engine.targets, &targets);
+                // The memoized current cost the batched pass leaves
+                // behind is the true one.
+                prop_assert_eq!(bitset.cost_of(r.strategy(u)), r.cost(u, model));
+            }
+        }
+    }
+
+    /// `exact_best_response_cost_with`'s early exit returns the same
+    /// value under per-candidate (queue) and batched (bitset) pricing,
+    /// whatever `stop_below` is: the batched scan keeps the odometer
+    /// order and the strict-improvement rule.
+    #[test]
+    fn stop_below_agrees_across_kernels(n in 2usize..24, seed in 0u64..600) {
+        let r = random_instance_b3(n, seed);
+        let mut queue = DeviationScratch::with_kernel(&r, CostKernel::Queue);
+        let mut bitset = DeviationScratch::with_kernel(&r, CostKernel::Bitset);
+        for model in CostModel::ALL {
+            for u in (0..n).map(NodeId::new) {
+                let current = r.cost(u, model);
+                for stop in [None, Some(current), Some(current / 2 + 1), Some(u64::MAX)] {
+                    let q = exact_best_response_cost_with(&mut queue, &r, u, model, stop);
+                    let b = exact_best_response_cost_with(&mut bitset, &r, u, model, stop);
+                    prop_assert!(q == b, "player {} {:?} stop {:?}: {} vs {}", u, model, stop, q, b);
                 }
             }
         }
@@ -267,6 +324,65 @@ fn dynamics_traces_are_step_identical_across_kernels() {
             assert_eq!(sparse.converged, naive_converged);
         }
     }
+}
+
+/// Exact dynamics at one of the shapes the `exact-churn` benchmark runs
+/// are step-identical between per-candidate pricing (queue) and batched
+/// pricing (bitset) over their first `rounds` rounds, both models, two
+/// seeds; and the first batched activations match the
+/// rebuild-per-candidate reference (which rebuilds the whole profile
+/// per candidate) move for move.
+fn assert_batched_dynamics_step_identical(n: usize, b: usize, rounds: usize) {
+    const NAIVE_ACTIVATIONS: usize = 4;
+    for seed in [1u64, 2] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let initial = Realization::new(generators::random_realization(&vec![b; n], &mut rng));
+        for model in CostModel::ALL {
+            let run = |kernel| {
+                run_dynamics_with_kernel(
+                    initial.clone(),
+                    DynamicsConfig::exact(model, rounds),
+                    &mut StdRng::seed_from_u64(0),
+                    kernel,
+                )
+            };
+            let label = format!("n {n} b {b} seed {seed} {model:?}");
+            let queue = run(CostKernel::Queue);
+            let bitset = run(CostKernel::Bitset);
+            assert_eq!(
+                queue.state, bitset.state,
+                "final profiles diverge ({label})"
+            );
+            assert_eq!(queue.steps, bitset.steps, "{label}");
+            assert_eq!(queue.rounds, bitset.rounds, "{label}");
+            assert_eq!(queue.converged, bitset.converged, "{label}");
+            let mut state = initial.clone();
+            let mut scratch = DeviationScratch::with_kernel(&state, CostKernel::Bitset);
+            for u in (0..NAIVE_ACTIVATIONS).map(NodeId::new) {
+                let fast = exact_best_response_with(&mut scratch, &state, u, model);
+                let slow = exact_best_response_rebuild(&state, u, model);
+                assert_eq!(fast, slow, "player {u} ({label})");
+                if slow.cost < state.cost(u, model) {
+                    state.set_strategy(u, slow.targets);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn batched_dynamics_step_identical_n48_b2() {
+    assert_batched_dynamics_step_identical(48, 2, 3);
+}
+
+#[test]
+fn batched_dynamics_step_identical_n64_b2() {
+    assert_batched_dynamics_step_identical(64, 2, 1);
+}
+
+#[test]
+fn batched_dynamics_step_identical_n128_b1() {
+    assert_batched_dynamics_step_identical(128, 1, 3);
 }
 
 /// The batched parallel Nash audit is kernel-independent.

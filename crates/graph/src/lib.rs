@@ -14,6 +14,9 @@
 //!   same loop: n × ⌈n/64⌉ bit rows and a frontier-bitset BFS that
 //!   produces identical [`BfsStats`] in `O(n²/64)` word ops per query
 //!   (the deviation engine's `bitset` cost kernel);
+//! * [`AllSourcesBfs`] — every vertex a source, one bit lane each
+//!   (MS-BFS): the level structure behind the engine's batched exact
+//!   best response;
 //! * [`CompactCsr`] / [`SparseSssp`] — the sparse tier: a slack-free
 //!   editable CSR plus decrease-only dynamic-SSSP repair that prices a
 //!   candidate in time proportional to its *improved region* (the
@@ -44,6 +47,7 @@ pub mod distance;
 pub mod dot;
 pub mod generators;
 pub mod metrics;
+pub mod msbfs;
 pub mod node;
 pub mod patch;
 pub mod sssp;
@@ -66,6 +70,7 @@ pub use distance::{
     Diameter, DistanceMatrix,
 };
 pub use metrics::GraphMetrics;
+pub use msbfs::AllSourcesBfs;
 pub use node::{node_ids, NodeId};
 pub use patch::PatchableCsr;
 pub use sssp::{PriceBudget, RepairOutcome, SparseSssp};

@@ -3,8 +3,8 @@
 use bbncg_graph::{
     components, diameter, distance_to_set, eccentricities, generators, is_connected,
     local_vertex_connectivity, menger_paths, two_core_mask, unique_cycle, vertex_connectivity,
-    BfsScratch, BitAdjacency, BitBfsScratch, CompactCsr, Csr, Diameter, DistanceMatrix,
-    GraphMetrics, NodeId, PatchableCsr, PriceBudget, SparseSssp,
+    AllSourcesBfs, BfsScratch, BitAdjacency, BitBfsScratch, CompactCsr, Csr, Diameter,
+    DistanceMatrix, GraphMetrics, NodeId, PatchableCsr, PriceBudget, SparseSssp,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -228,6 +228,80 @@ proptest! {
                 queue.run_patched(&patch, src, owner, &targets),
                 bitset.run_patched(&bits, src, owner, &targets)
             );
+        }
+    }
+
+    /// The all-sources bit-parallel BFS reproduces one queue BFS per
+    /// source, level by level: after level `k`, lane `t` of vertex
+    /// `v`'s row is set iff `d(t, v) ≤ k` in the graph without the
+    /// excluded vertex, its fresh row holds exactly the lanes at
+    /// distance `k`, and its masked count is the number of those lanes
+    /// inside a random vertex set. Random multigraphs with braces, isolated vertices
+    /// and one excluded vertex, at sizes around the 64-bit word
+    /// boundaries and one with rows wider than four words.
+    #[test]
+    fn all_sources_bfs_matches_per_source_bfs(size in 0usize..8, seed in 0u64..500) {
+        let n = [1usize, 2, 63, 64, 65, 128, 129, 320][size];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let excluded = rng.gen_range(0..n);
+        // About n/2 random edges leave isolated vertices; every fourth
+        // edge is doubled into a brace.
+        let mut edges = Vec::new();
+        for i in 0..n / 2 {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b {
+                edges.push((a, b));
+                if i % 4 == 0 {
+                    edges.push((b, a));
+                }
+            }
+        }
+        let csr = Csr::from_edges(n, &edges);
+        let without: Vec<(usize, usize)> = edges
+            .iter()
+            .copied()
+            .filter(|&(a, b)| a != excluded && b != excluded)
+            .collect();
+        let reference = Csr::from_edges(n, &without);
+        let mut bfs = BfsScratch::new(n);
+        let dist: Vec<Vec<u32>> = (0..n)
+            .map(|t| {
+                if t == excluded {
+                    return vec![u32::MAX; n];
+                }
+                bfs.run(&reference, NodeId::new(t));
+                (0..n).map(|v| bfs.dist_or_unreached(NodeId::new(v))).collect()
+            })
+            .collect();
+        let has = |row: &[u64], t: usize| row[t >> 6] & (1u64 << (t & 63)) != 0;
+        let d = |t: usize, v: usize| if v == excluded { u32::MAX } else { dist[t][v] };
+        // A random vertex set for the masked counts.
+        let members: Vec<bool> = (0..n).map(|_| rng.gen_range(0..2usize) == 1).collect();
+        let mut mask = vec![0u64; n.div_ceil(64)];
+        for t in (0..n).filter(|&t| members[t]) {
+            mask[t >> 6] |= 1u64 << (t & 63);
+        }
+        let mut ms = AllSourcesBfs::new();
+        ms.start(&csr, Some(NodeId::new(excluded)));
+        loop {
+            let k = ms.level();
+            let mut counts = vec![0u64; n];
+            ms.add_reached_within(&mask, &mut counts);
+            for (v, &count) in counts.iter().enumerate() {
+                let want = (0..n).filter(|&t| members[t] && d(t, v) <= k).count() as u64;
+                prop_assert!(count == want, "n {} level {}: {} masked sources reach {}", n, k, count, v);
+            }
+            for v in 0..n {
+                let (reached, fresh) = (ms.reached(NodeId::new(v)), ms.fresh(NodeId::new(v)));
+                for t in 0..n {
+                    prop_assert!(has(reached, t) == (d(t, v) <= k), "n {} level {}: {} -> {}", n, k, t, v);
+                    prop_assert!(has(fresh, t) == (d(t, v) == k), "n {} level {}: {} -> {} fresh", n, k, t, v);
+                }
+            }
+            if ms.step(&csr) == 0 {
+                break;
+            }
+            prop_assert!(ms.level() <= n as u32, "no fixed point by level n");
         }
     }
 

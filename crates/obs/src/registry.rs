@@ -68,7 +68,9 @@ pub fn enabled() -> bool {
 pub enum Counter {
     /// Deviation-scratch pricing sessions begun (`begin()` calls).
     KernelSessions,
-    /// Base BFS/SSSP computations establishing a session's distances.
+    /// Base BFS/SSSP computations establishing a session's distances:
+    /// sparse rebases, and the base BFS plus the all-sources BFS of each
+    /// batched exact session on the bitset tier.
     KernelBaseBfs,
     /// Candidates priced by the queue BFS kernel.
     KernelPricedQueue,
